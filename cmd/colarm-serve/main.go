@@ -45,6 +45,16 @@
 //	                      advisor's recommendations, building/dropping
 //	                      secondary indexes the workload pays for
 //
+//	-read-header-timeout D  max time to read a request's headers
+//	                        (default 10s)
+//	-read-timeout D         max time to read a whole request, body
+//	                        included (default 1m)
+//	-idle-timeout D         max time a keep-alive connection waits for
+//	                        its next request (default 2m)
+//
+// There is deliberately no write timeout: SSE streams and ?wait=
+// long-polls hold responses open; -query-timeout bounds mining work.
+//
 // Endpoints: POST /v1/mine, POST /v1/explain, POST /v1/ingest,
 // GET /v1/datasets, GET /v1/datasets/{name},
 // GET /v1/datasets/{name}/advisor, POST /v1/datasets/{name}/advisor/apply,
@@ -108,13 +118,26 @@ func main() {
 
 		advisorInterval  = flag.Duration("advisor-interval", 0, "self-tuning policy loop interval (0 disables; endpoints work regardless)")
 		advisorAutoApply = flag.Bool("advisor-auto-apply", false, "let the policy loop build/drop the secondary indexes the workload pays for")
+
+		readHeaderTimeout = flag.Duration("read-header-timeout", 10*time.Second, "max time to read a request's headers (0 = no limit)")
+		readTimeout       = flag.Duration("read-timeout", time.Minute, "max time to read a whole request, body included (0 = no limit)")
+		idleTimeout       = flag.Duration("idle-timeout", 2*time.Minute, "max time a keep-alive connection waits for its next request (0 = no limit)")
 	)
 	var snapshots, csvs listFlag
 	flag.Var(&snapshots, "snapshot", "name=path of an index snapshot to load (repeatable)")
 	flag.Var(&csvs, "csv", "headed CSV file to index (repeatable)")
 	flag.Parse()
 
-	if err := run(*addr, *datasets, snapshots, csvs, *primary, *seed, *workers, *calib, *shards, server.Config{
+	// No WriteTimeout: it would cut SSE event streams and ?wait=
+	// long-polls, which legitimately hold a response open for minutes.
+	// Per-query work is bounded by -query-timeout instead.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		ReadHeaderTimeout: *readHeaderTimeout,
+		ReadTimeout:       *readTimeout,
+		IdleTimeout:       *idleTimeout,
+	}
+	if err := run(httpSrv, *datasets, snapshots, csvs, *primary, *seed, *workers, *calib, *shards, server.Config{
 		MaxInFlight:  *maxInFlight,
 		MaxQueue:     *maxQueue,
 		QueueWait:    *queueWait,
@@ -134,7 +157,7 @@ func main() {
 	}
 }
 
-func run(addr, datasets string, snapshots, csvs []string, primary float64, seed int64, workers int, calibrate bool, shards int, cfg server.Config) error {
+func run(httpSrv *http.Server, datasets string, snapshots, csvs []string, primary float64, seed int64, workers int, calibrate bool, shards int, cfg server.Config) error {
 	metrics := colarm.NewMetricsRegistry()
 	opts := colarm.Options{Workers: workers, Calibrate: calibrate, Metrics: metrics, Shards: shards}
 	reg := server.NewRegistry()
@@ -192,13 +215,13 @@ func run(addr, datasets string, snapshots, csvs []string, primary float64, seed 
 
 	cfg.EngineMetrics = metrics
 	srv := server.New(reg, cfg)
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	httpSrv.Handler = srv.Handler()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "serving %d dataset(s) on %s\n", registered, addr)
+	fmt.Fprintf(os.Stderr, "serving %d dataset(s) on %s\n", registered, httpSrv.Addr)
 
 	select {
 	case err := <-errCh:

@@ -57,13 +57,23 @@ func (s *Set) span(ci int) int {
 	return ctrBits
 }
 
-// New returns an empty Set capable of holding ids in [0, n).
-func New(n int) *Set {
+// New returns an empty Set capable of holding ids in [0, n), under the
+// package's current representation policy.
+func New(n int) *Set { return newSet(n, defaultHybrid.Load()) }
+
+// NewDense returns an empty Set capable of holding ids in [0, n) under
+// the dense policy — every container a bitmap — whatever the package
+// default. Sets that must be bitmap-backed by construction, such as a
+// calibration of per-word costs, use it instead of flipping SetHybrid,
+// which would also change the sets other goroutines build meanwhile.
+func NewDense(n int) *Set { return newSet(n, false) }
+
+func newSet(n int, hybrid bool) *Set {
 	if n < 0 {
 		n = 0
 	}
-	s := &Set{n: n, hybrid: defaultHybrid.Load(), ctrs: make([]container, numCtrs(n))}
-	if !s.hybrid {
+	s := &Set{n: n, hybrid: hybrid, ctrs: make([]container, numCtrs(n))}
+	if !hybrid {
 		// Dense policy allocates eagerly, like the pre-hybrid layout.
 		for i := range s.ctrs {
 			s.ctrs[i].toBitmap()

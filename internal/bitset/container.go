@@ -617,39 +617,11 @@ func andCount(x, y *container) int {
 	}
 	switch {
 	case x.kind == arrayCtr && y.kind == arrayCtr:
-		n, i, j := 0, 0, 0
-		for i < len(x.a) && j < len(y.a) {
-			switch {
-			case x.a[i] < y.a[j]:
-				i++
-			case x.a[i] > y.a[j]:
-				j++
-			default:
-				n++
-				i++
-				j++
-			}
-		}
-		return n
+		return countArrays(x.a, y.a)
 	case x.kind == arrayCtr && y.kind == bitmapCtr:
-		n := 0
-		for _, v := range x.a {
-			if y.b[v>>6]&(1<<(v&63)) != 0 {
-				n++
-			}
-		}
-		return n
+		return bitTest(x.a, y.b)
 	case x.kind == arrayCtr && y.kind == runCtr:
-		n, j := 0, 0
-		for _, v := range x.a {
-			for j < len(y.a) && y.a[j+1] < v {
-				j += 2
-			}
-			if j < len(y.a) && y.a[j] <= v && v <= y.a[j+1] {
-				n++
-			}
-		}
-		return n
+		return countInRuns(x.a, y.a)
 	case x.kind == bitmapCtr && y.kind == bitmapCtr:
 		n := 0
 		for i, w := range x.b {

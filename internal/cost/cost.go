@@ -66,17 +66,13 @@ func MeasureUnits(m, dims int) Units {
 	}
 	u := Units{}
 
-	// WordOp and IDProbe are defined against the dense layout — the
-	// model's operator estimates multiply them by dense word counts —
-	// so the micro-benchmark sets must be bitmap-backed. Under the
-	// hybrid policy these small strided sets would pack into array
-	// containers, whose element-at-a-time kernels make a per-word
-	// normalization meaningless.
-	prevHybrid := bitset.SetHybrid(false)
-	defer bitset.SetHybrid(prevHybrid)
-
-	// Tidset word ops.
-	a, b := bitset.New(m), bitset.New(m)
+	// WordOp is defined against the dense layout — the model's operator
+	// estimates multiply it by dense word counts — so its sets are
+	// bitmap-backed by construction. Under the hybrid policy these small
+	// strided sets would pack into array containers, whose
+	// element-at-a-time kernels make a per-word normalization
+	// meaningless.
+	a, b := bitset.NewDense(m), bitset.NewDense(m)
 	for i := 0; i < m; i += 3 {
 		a.Add(i)
 	}
@@ -92,21 +88,22 @@ func MeasureUnits(m, dims int) Units {
 	}
 	u.WordOp = float64(time.Since(start).Nanoseconds()) / (wreps * words)
 
-	// Per-record-id probes.
-	ids := a.IDs()
-	if len(ids) == 0 {
-		ids = []int{0}
+	// Per-record-id probes, through the ScanCheck kernel against an
+	// optimized tidset under the package's policy (hybrid by default):
+	// the layout and the code path the executor's scan actually runs.
+	tids := bitset.New(m)
+	for i := 0; i < m; i += 2 {
+		tids.Add(i)
 	}
+	tids.Optimize()
+	probe := bitset.NewProbe(a)
+	ids := max(probe.Len(), 1)
 	start = time.Now()
 	const preps = 300
 	for i := 0; i < preps; i++ {
-		for _, id := range ids {
-			if b.Contains(id) {
-				sink++
-			}
-		}
+		sink += probe.Count(tids)
 	}
-	u.IDProbe = float64(time.Since(start).Nanoseconds()) / float64(preps*len(ids))
+	u.IDProbe = float64(time.Since(start).Nanoseconds()) / float64(preps*ids)
 
 	// Box relation tests, against the packed-arena form the flat
 	// R-tree search actually classifies (Lo run then Hi run per box).

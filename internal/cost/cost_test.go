@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"colarm/internal/bitset"
 	"colarm/internal/itemset"
 	"colarm/internal/mip"
 	"colarm/internal/plans"
@@ -73,6 +74,39 @@ func TestMeasureUnitsSane(t *testing.T) {
 	u2 := MeasureUnits(0, 0)
 	if u2.WordOp <= 0 {
 		t.Error("clamped measure failed")
+	}
+}
+
+// TestMeasureUnitsLeavesPolicyAlone pins that calibration does not touch
+// the package-wide tidset policy: sets another goroutine builds while
+// MeasureUnits runs must keep the hybrid encoding, where a sparse set
+// is an array container far smaller than an 8 KiB bitmap.
+func TestMeasureUnitsLeavesPolicyAlone(t *testing.T) {
+	if !bitset.HybridEnabled() {
+		t.Skip("hybrid policy is off for this process")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			MeasureUnits(4096, 4)
+		}
+	}()
+	for built := 0; ; built++ {
+		select {
+		case <-done:
+			if built == 0 {
+				t.Fatal("no set was built while MeasureUnits ran")
+			}
+			return
+		default:
+		}
+		if !bitset.HybridEnabled() {
+			t.Fatal("MeasureUnits switched the package policy to dense")
+		}
+		if b := bitset.FromIDs(4096, 1, 2, 3).Bytes(); b >= 8<<10 {
+			t.Fatalf("a sparse set built during calibration takes %d bytes: dense policy", b)
+		}
 	}
 }
 

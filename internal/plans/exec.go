@@ -26,9 +26,10 @@ const (
 	// AutoCheck picks per query whichever of the two implementations
 	// is cheaper for the focal subset size (default).
 	AutoCheck CheckMode = iota
-	// ScanCheck probes each record id of D^Q against the itemset's
-	// tidset — cost proportional to |D^Q|, exactly the record-level
-	// scan the paper's cost model describes (COST(E) = |{I^Q_S}|·|D^Q|).
+	// ScanCheck walks the sorted record ids of D^Q against the
+	// itemset's tidset, container by container — cost proportional to
+	// |D^Q|, exactly the record-level scan the paper's cost model
+	// describes (COST(E) = |{I^Q_S}|·|D^Q|).
 	ScanCheck
 	// BitmapCheck intersects whole tidset bitmaps — cost proportional
 	// to the dataset size in words, independent of |D^Q|.
@@ -208,7 +209,7 @@ type qctx struct {
 	polls    int             // cancellation poll cadence counter
 	mask     []bool          // item-attribute mask
 	dq       *bitset.Set     // focal subset bitmap
-	dqIDs    []int           // focal subset record ids (ScanCheck path)
+	probe    *bitset.Probe   // focal subset scan kernel (ScanCheck path)
 	scan     bool            // resolved check mode for this query
 	workers  int             // resolved worker count for this query
 	minCount int
@@ -225,12 +226,12 @@ type qctx struct {
 
 	// Scatter-gather state (nil on the monolithic path). slices
 	// partition the live records across K>1 shards; dqs[s] is the focal
-	// subset restricted to shard s (their union is dq), and dqsIDs[s]
-	// its id list in scan mode. Per-shard support counts gathered by
+	// subset restricted to shard s (their union is dq), and probes[s]
+	// its scan kernel in scan mode. Per-shard support counts gathered by
 	// summation equal the monolithic counts exactly.
 	slices []ShardSlice
 	dqs    []*bitset.Set
-	dqsIDs [][]int
+	probes []*bitset.Probe
 
 	// localSupp caches CFI id → local support count (record-level check
 	// memoization across ELIMINATE's candidate occurrences).
@@ -322,11 +323,11 @@ func (ex *Executor) newCtx(ctx context.Context, q *Query) *qctx {
 		c.scan = size <= c.records/32
 	}
 	if c.scan {
-		c.dqIDs = c.dq.IDs()
+		c.probe = bitset.NewProbe(c.dq)
 		if c.slices != nil {
-			c.dqsIDs = make([][]int, len(c.dqs))
+			c.probes = make([]*bitset.Probe, len(c.dqs))
 			for s, dq := range c.dqs {
-				c.dqsIDs[s] = dq.IDs()
+				c.probes[s] = bitset.NewProbe(dq)
 			}
 		}
 	}
@@ -334,18 +335,13 @@ func (ex *Executor) newCtx(ctx context.Context, q *Query) *qctx {
 }
 
 // countLocal is the record-level support check: how many records of the
-// focal subset the tidset covers. In scan mode it probes each D^Q
-// record id (cost ∝ |D^Q|, the paper's record-level scan); in bitmap
-// mode it intersects whole bitmaps (cost ∝ dataset words).
+// focal subset the tidset covers. In scan mode it walks D^Q's sorted
+// record ids against the tidset container by container (cost ∝ |D^Q|,
+// the paper's record-level scan); in bitmap mode it intersects whole
+// bitmaps (cost ∝ dataset words).
 func (c *qctx) countLocal(tids *bitset.Set) int {
 	if c.scan {
-		n := 0
-		for _, id := range c.dqIDs {
-			if tids.Contains(id) {
-				n++
-			}
-		}
-		return n
+		return c.probe.Count(tids)
 	}
 	return bitset.AndCount(tids, c.dq)
 }
@@ -355,13 +351,7 @@ func (c *qctx) countLocal(tids *bitset.Set) int {
 // results over all shards equals countLocal exactly.
 func (c *qctx) countLocalShard(tids *bitset.Set, s int) int {
 	if c.scan {
-		n := 0
-		for _, id := range c.dqsIDs[s] {
-			if tids.Contains(id) {
-				n++
-			}
-		}
-		return n
+		return c.probes[s].Count(tids)
 	}
 	return bitset.AndCount(tids, c.dqs[s])
 }
@@ -621,28 +611,20 @@ func (c *qctx) eliminate(cands []candidate, containedShortcut bool) ([]qualified
 
 // countItems is the record-level support check of an arbitrary itemset
 // within D^Q — the VERIFY oracle's compute step. The count runs
-// directly against the per-item tidsets: in scan mode, |D^Q| record
-// probes with at most C_X tidset tests each, which is exactly the
-// paper's COST(V) record-level term (Σ C_i · |D^Q|); in bitmap mode, a
-// whole-bitmap intersection. Reads only immutable index state plus the
-// query's frozen dqIDs/dq, so it is safe from concurrent workers.
+// directly against the per-item tidsets: in scan mode, D^Q's id list
+// is filtered through the C_X item tidsets in turn, stopping once it
+// runs empty — at most the paper's COST(V) record-level term
+// (Σ C_i · |D^Q|); in bitmap mode, a whole-bitmap intersection. Reads
+// only immutable index state plus the query's frozen probe/dq, so it is
+// safe from concurrent workers.
 func (c *qctx) countItems(x itemset.Set) int {
 	tidsets := c.tidsets
 	if c.scan {
-		s := 0
-		for _, id := range c.dqIDs {
-			hit := true
-			for _, it := range x {
-				if !tidsets[it].Contains(id) {
-					hit = false
-					break
-				}
-			}
-			if hit {
-				s++
-			}
+		sets := make([]*bitset.Set, 0, 8) // on the stack for short itemsets
+		for _, it := range x {
+			sets = append(sets, tidsets[it])
 		}
-		return s
+		return c.probe.CountAll(sets)
 	}
 	if c.slices != nil {
 		// Scatter-gather: intersect within each shard's slice and sum.

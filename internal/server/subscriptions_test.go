@@ -90,6 +90,31 @@ func quiesceServer(t testing.TB, s *Server) {
 	}
 }
 
+// TestSSEOutlivesReadTimeout pins that an SSE stream survives a
+// server-wide ReadTimeout, which colarm-serve sets to bound slow
+// clients: the deadline covers reading the request only, so a diff
+// ingested after it has passed must still arrive on the open stream.
+func TestSSEOutlivesReadTimeout(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	h := s.Handler()
+	ts := httptest.NewUnstartedServer(h)
+	ts.Config.ReadTimeout = 150 * time.Millisecond
+	ts.Start()
+	defer ts.Close()
+
+	sub := createSub(t, h, seattleSub)
+	c := dialSSE(t, ts.URL, sub.ID, 0)
+	defer c.close()
+	if ev, ok := c.next(t); !ok || ev.Type != "snapshot" {
+		t.Fatalf("first SSE frame: %+v ok=%v", ev, ok)
+	}
+	time.Sleep(3 * ts.Config.ReadTimeout)
+	ingestRows(t, h, []map[string]string{seattleRow}, "never")
+	if ev, ok := c.next(t); !ok || ev.Type != "diff" {
+		t.Fatalf("frame after the read timeout: %+v ok=%v", ev, ok)
+	}
+}
+
 // TestSubscriptionLifecycle walks the resource surface: create (201 +
 // Location), read, list, long-poll the snapshot and a diff, delete
 // (204), then 404s.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"path/filepath"
 
 	"colarm/internal/core"
 	"colarm/internal/mip"
@@ -44,17 +45,53 @@ func (e *Engine) Save(w io.Writer) error {
 	return err
 }
 
-// SaveFile writes the index snapshot to a file.
+// SaveFile writes the index snapshot to a file. The write is
+// crash-safe: the snapshot goes to a temporary file in the same
+// directory, is synced to disk, and only then renamed over path, so a
+// failed or interrupted save leaves the previous snapshot intact.
 func (e *Engine) SaveFile(path string) error {
-	f, err := os.Create(path)
+	return writeFileAtomic(path, e.Save)
+}
+
+// writeFileAtomic runs write against a temporary file beside path,
+// fsyncs it and renames it over path. On any error the temporary file
+// is removed and path is left untouched.
+func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
-	if err := e.Save(f); err != nil {
-		f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	// CreateTemp makes the file owner-only; give the snapshot the mode
+	// os.Create would under the usual umask.
+	if err = f.Chmod(0o644); err != nil {
 		return err
 	}
-	return f.Close()
+	if err = write(f); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	// Sync the directory so the rename itself survives a crash. Not
+	// every platform can open or sync a directory; the data is already
+	// durable, so a failure here is not reported.
+	if d, derr := os.Open(filepath.Dir(path)); derr == nil {
+		d.Sync()
+		d.Close()
+	}
+	return nil
 }
 
 // LoadEngine restores an engine from a snapshot written by Save. opts

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -69,6 +71,53 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadEngineFile(filepath.Join(t.TempDir(), "missing"), Options{}); err == nil {
 		t.Error("missing file must error")
+	}
+}
+
+// TestSaveFileFailureKeepsPreviousSnapshot pins the crash-safety of
+// SaveFile: a save that fails mid-write must leave the previous snapshot
+// byte-identical and loadable, and leave no temporary file behind.
+func TestSaveFileFailureKeepsPreviousSnapshot(t *testing.T) {
+	eng := salaryEngine(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "salary.colarm")
+	if err := eng.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errDiskFull := errors.New("disk full")
+	err = writeFileAtomic(path, func(w io.Writer) error {
+		var buf bytes.Buffer
+		if err := eng.Save(&buf); err != nil {
+			return err
+		}
+		if _, err := w.Write(buf.Bytes()[:buf.Len()/2]); err != nil {
+			return err
+		}
+		return errDiskFull
+	})
+	if !errors.Is(err, errDiskFull) {
+		t.Fatalf("failed save returned %v, want the write error", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatal("a failed save changed the previous snapshot")
+	}
+	if _, err := LoadEngineFile(path, Options{}); err != nil {
+		t.Fatalf("previous snapshot no longer loads: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after a failed save, want only the snapshot", len(entries))
 	}
 }
 
