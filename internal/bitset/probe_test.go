@@ -216,3 +216,56 @@ func FuzzProbeCount(f *testing.F) {
 		checkProbe(t, "fuzz", p, s, u)
 	})
 }
+
+// benchBitmap keeps the "build" benchmark's bitmap on the heap, as in
+// NewProbe.
+var benchBitmap []uint64
+
+// BenchmarkCountInArray times countIn against one array container with
+// and without the Probe list's bitmap, over list lengths around
+// probeBitmapMin and array lengths from equal to 8× the list (past 8×
+// both gallop). "build" is the per-list cost NewProbe pays for the
+// bitmap, once per query. Run with
+//
+//	go test -run '^$' -bench CountInArray -benchmem ./internal/bitset
+func BenchmarkCountInArray(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	sortedIDs := func(n int) []uint16 {
+		ids := FromIDs(ctrBits, rng.Perm(ctrBits)[:n]...).IDs()
+		out := make([]uint16, n)
+		for i, v := range ids {
+			out[i] = uint16(v)
+		}
+		return out
+	}
+	for _, n := range []int{16, 64, 256, 1024} {
+		ids := sortedIDs(n)
+		bm := make([]uint64, ctrWords)
+		for _, v := range ids {
+			bm[v>>6] |= 1 << (v & 63)
+		}
+		b.Run(fmt.Sprintf("ids=%d/build", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m := make([]uint64, ctrWords)
+				for _, v := range ids {
+					m[v>>6] |= 1 << (v & 63)
+				}
+				benchBitmap = m
+			}
+		})
+		for _, ratio := range []int{1, 8} {
+			a := sortedIDs(min(ratio*n, arrayMaxCard))
+			c := &container{kind: arrayCtr, card: int32(len(a)), a: a}
+			for _, kernel := range []struct {
+				name string
+				bm   []uint64
+			}{{"merge", nil}, {"bitmap", bm}} {
+				b.Run(fmt.Sprintf("ids=%d/array=%d/%s", n, len(a), kernel.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						countIn(ids, kernel.bm, c)
+					}
+				})
+			}
+		}
+	}
+}

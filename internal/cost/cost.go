@@ -54,6 +54,30 @@ func DefaultUnits() Units {
 	return Units{WordOp: 0.6, BoxRel: 2.0, IDProbe: 1.5, MapOp: 8, GenOp: 16}
 }
 
+// idProbeSets returns the calibration input for IDProbe: a Probe over
+// every 8th of m record ids, standing for a focal subset D^Q, and two
+// tidsets to count it against. The first holds every 64th id, so no
+// 2^16-id container exceeds the 1024 ids up to which the hybrid policy
+// keeps an array, and it is shorter than the Probe's lists, so Count
+// takes the array kernel rather than a gallop; the second holds every
+// other id in a bitmap.
+func idProbeSets(m int) (*bitset.Probe, []*bitset.Set) {
+	dq, sparse, dense := bitset.New(m), bitset.New(m), bitset.NewDense(m)
+	for i := 0; i < m; i++ {
+		if i%8 == 0 {
+			dq.Add(i)
+		}
+		if i%64 == 0 {
+			sparse.Add(i)
+		}
+		if i%2 == 0 {
+			dense.Add(i)
+		}
+	}
+	sparse.Optimize()
+	return bitset.NewProbe(dq), []*bitset.Set{sparse, dense}
+}
+
 // MeasureUnits micro-benchmarks the primitive operations on this
 // machine. m is the dataset's record count (tidset width); dims the
 // dimensionality.
@@ -88,22 +112,19 @@ func MeasureUnits(m, dims int) Units {
 	}
 	u.WordOp = float64(time.Since(start).Nanoseconds()) / (wreps * words)
 
-	// Per-record-id probes, through the ScanCheck kernel against an
-	// optimized tidset under the package's policy (hybrid by default):
-	// the layout and the code path the executor's scan actually runs.
-	tids := bitset.New(m)
-	for i := 0; i < m; i += 2 {
-		tids.Add(i)
-	}
-	tids.Optimize()
-	probe := bitset.NewProbe(a)
+	// Per-record-id probes, through the ScanCheck kernel the executor
+	// runs, averaged over the two tidset kinds it meets under the hybrid
+	// policy: a sparse array container and a bitmap.
+	probe, tidsets := idProbeSets(m)
 	ids := max(probe.Len(), 1)
 	start = time.Now()
 	const preps = 300
 	for i := 0; i < preps; i++ {
-		sink += probe.Count(tids)
+		for _, t := range tidsets {
+			sink += probe.Count(t)
+		}
 	}
-	u.IDProbe = float64(time.Since(start).Nanoseconds()) / float64(preps*ids)
+	u.IDProbe = float64(time.Since(start).Nanoseconds()) / float64(preps*len(tidsets)*ids)
 
 	// Box relation tests, against the packed-arena form the flat
 	// R-tree search actually classifies (Lo run then Hi run per box).

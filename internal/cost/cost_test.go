@@ -110,6 +110,30 @@ func TestMeasureUnitsLeavesPolicyAlone(t *testing.T) {
 	}
 }
 
+// TestIDProbeCalibrationKinds pins that IDProbe is timed on the
+// layouts ScanCheck probes under the hybrid policy: an array tidset,
+// several times smaller than the same ids as bitmaps, and a bitmap one.
+func TestIDProbeCalibrationKinds(t *testing.T) {
+	if !bitset.HybridEnabled() {
+		t.Skip("hybrid policy is off for this process")
+	}
+	for _, m := range []int{64, 3196, 8124, 70000} {
+		probe, tidsets := idProbeSets(m)
+		if probe.Len() == 0 {
+			t.Fatalf("m=%d: empty probe", m)
+		}
+		sparse, dense := tidsets[0], tidsets[1]
+		asBitmaps := bitset.NewDense(m)
+		sparse.ForEach(func(id int) bool { asBitmaps.Add(id); return true })
+		if got, bm := sparse.Bytes(), asBitmaps.Bytes(); 2*got > bm {
+			t.Errorf("m=%d: sparse tidset takes %d bytes against %d as bitmaps: not array containers", m, got, bm)
+		}
+		if got, want := dense.Bytes(), bitset.NewDense(m).Bytes(); got != want {
+			t.Errorf("m=%d: dense tidset takes %d bytes, bitmaps take %d", m, got, want)
+		}
+	}
+}
+
 func TestNewModelStats(t *testing.T) {
 	mo, _ := buildModel(t, 300)
 	if mo.avgLen <= 1 {

@@ -2,9 +2,13 @@ package colarm
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"colarm/internal/core"
 	"colarm/internal/mip"
@@ -48,7 +52,10 @@ func (e *Engine) Save(w io.Writer) error {
 // SaveFile writes the index snapshot to a file. The write is
 // crash-safe: the snapshot goes to a temporary file in the same
 // directory, is synced to disk, and only then renamed over path, so a
-// failed or interrupted save leaves the previous snapshot intact.
+// failed or interrupted save leaves the previous snapshot intact. An
+// existing snapshot keeps its permission bits, a new one gets 0666 less
+// the umask, as os.Create would give it, and a symlink at path is
+// written through: the file it points to is replaced, not the link.
 func (e *Engine) SaveFile(path string) error {
 	return writeFileAtomic(path, e.Save)
 }
@@ -57,7 +64,10 @@ func (e *Engine) SaveFile(path string) error {
 // fsyncs it and renames it over path. On any error the temporary file
 // is removed and path is left untouched.
 func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
+	if real, lerr := filepath.EvalSymlinks(path); lerr == nil {
+		path = real
+	}
+	f, err := createBeside(path)
 	if err != nil {
 		return err
 	}
@@ -67,10 +77,10 @@ func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 			os.Remove(f.Name())
 		}
 	}()
-	// CreateTemp makes the file owner-only; give the snapshot the mode
-	// os.Create would under the usual umask.
-	if err = f.Chmod(0o644); err != nil {
-		return err
+	if fi, serr := os.Stat(path); serr == nil {
+		if err = f.Chmod(fi.Mode().Perm()); err != nil {
+			return err
+		}
 	}
 	if err = write(f); err != nil {
 		return err
@@ -92,6 +102,20 @@ func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
 		d.Close()
 	}
 	return nil
+}
+
+// createBeside creates a new, uniquely named file in path's directory.
+// Unlike os.CreateTemp, which always uses mode 0600, it asks for 0666 so
+// the umask decides the mode of a snapshot that did not exist before.
+func createBeside(path string) (*os.File, error) {
+	dir, base := filepath.Split(path)
+	for {
+		name := filepath.Join(dir, "."+base+".tmp-"+strconv.FormatUint(uint64(rand.Uint32()), 36))
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			return f, err
+		}
+	}
 }
 
 // LoadEngine restores an engine from a snapshot written by Save. opts

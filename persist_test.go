@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,6 +120,71 @@ func TestSaveFileFailureKeepsPreviousSnapshot(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("directory holds %d entries after a failed save, want only the snapshot", len(entries))
 	}
+}
+
+// TestSaveFileKeepsModeAndLinks pins what SaveFile's rename must not
+// change: an existing snapshot's permission bits, the umask-derived mode
+// os.Create gives a new file, and a symlink at the target path, which is
+// written through rather than replaced.
+func TestSaveFileKeepsModeAndLinks(t *testing.T) {
+	eng := salaryEngine(t)
+	dir := t.TempDir()
+
+	// A new snapshot gets the mode os.Create gives a new file here.
+	ref, err := os.Create(filepath.Join(dir, "ref"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+	fresh := filepath.Join(dir, "fresh.colarm")
+	if err := eng.SaveFile(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fileMode(t, fresh), fileMode(t, ref.Name()); got != want {
+		t.Errorf("new snapshot has mode %v, os.Create gives %v", got, want)
+	}
+
+	// A snapshot restricted to its owner stays so across saves.
+	private := filepath.Join(dir, "private.colarm")
+	if err := eng.SaveFile(private); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(private, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SaveFile(private); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileMode(t, private); got != 0o600 {
+		t.Errorf("restricted snapshot has mode %v after a save, want -rw-------", got)
+	}
+
+	// A symlinked target stays a symlink and its file gets the snapshot.
+	link := filepath.Join(dir, "link.colarm")
+	if err := os.Symlink(private, link); err != nil {
+		t.Skipf("no symlinks here: %v", err)
+	}
+	if err := os.WriteFile(private, []byte("old"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SaveFile(link); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Lstat(link); err != nil || fi.Mode()&fs.ModeSymlink == 0 {
+		t.Fatalf("save through a symlink replaced the link (%v)", err)
+	}
+	if _, err := LoadEngineFile(private, Options{}); err != nil {
+		t.Fatalf("linked file does not hold the new snapshot: %v", err)
+	}
+}
+
+func fileMode(t *testing.T, path string) fs.FileMode {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Mode().Perm()
 }
 
 func TestLoadEngineErrors(t *testing.T) {
