@@ -12,26 +12,27 @@ import (
 	"colarm/internal/core"
 	"colarm/internal/datagen"
 	"colarm/internal/itemset"
-	"colarm/internal/ittree"
 	"colarm/internal/mip"
 	"colarm/internal/plans"
 	"colarm/internal/rtree"
 )
 
 // The index benchmark measures the physical layers of the MIP-index in
-// isolation, flat (arena-packed slabs) against pointer (node-per-CFI)
-// layout: closure resolution on the IT-tree, exact lookup (the flat
-// layout's open-addressed item-word hash against the pointer layout's
-// string-keyed map), supported R-tree region probes, per-shard physical
-// index build cost, and the consolidation pause of a sharded engine.
-// The consolidation rows share the shards benchmark's workload shape so
-// BENCH_<pr>.json artifacts stay comparable across PRs.
+// isolation: closure resolution on the IT-tree, exact lookup on its
+// open-addressed item-word hash, supported R-tree region probes,
+// per-shard physical index build cost, and the consolidation pause of a
+// sharded engine. The index has one physical layout, the arena-packed
+// slabs; its kernel rows keep the "flat" label so they compare with the
+// flat rows of BENCH_8.json, the last artifact that also measured the
+// retired pointer layout. The consolidation rows share the shards
+// benchmark's workload shape so BENCH_<pr>.json artifacts stay
+// comparable across PRs.
 
-// IndexKernelRow is one layout's timing for one kernel. The minimum
-// total across rounds is reported, in the tidset benchmark's style.
+// IndexKernelRow is the timing of one kernel. The minimum total across
+// rounds is reported, in the tidset benchmark's style.
 type IndexKernelRow struct {
-	Layout  string  `json:"layout"`
-	Impl    string  `json:"impl"` // what the layout resolves with
+	Layout  string  `json:"layout"` // always "flat"
+	Impl    string  `json:"impl"`   // what the kernel resolves with
 	Ops     int     `json:"ops"`
 	TotalNs int64   `json:"total_ns"`
 	NsPerOp float64 `json:"ns_per_op"`
@@ -108,8 +109,8 @@ func scatterSpecConfig(seed int64) datagen.Config {
 	}
 }
 
-// RunIndex builds the spec's dataset under both layouts and measures
-// the physical kernels, then replays the shards benchmark's
+// RunIndex builds the spec's dataset and measures the physical kernels
+// of its index, then replays the shards benchmark's
 // age-and-consolidate cycle for each K in ks.
 func RunIndex(spec DatasetSpec, ks []int, probes, iters, batches, batchRows int, seed int64) (*IndexReport, error) {
 	if probes < 1 || iters < 1 || batches < 1 || batchRows < 1 {
@@ -121,14 +122,7 @@ func RunIndex(spec DatasetSpec, ks []int, probes, iters, batches, batchRows int,
 		return nil, err
 	}
 	d := env.Dataset
-	flat := env.Engine.Index
-	if flat.ITTree.Layout() != ittree.FlatLayout {
-		return nil, fmt.Errorf("bench: default engine index layout is %v, want flat", flat.ITTree.Layout())
-	}
-	ptr, err := mip.Build(d, mip.Options{PrimarySupport: spec.Primary, Layout: mip.PointerLayout})
-	if err != nil {
-		return nil, err
-	}
+	idx := env.Engine.Index
 
 	rep := &IndexReport{
 		Bench:     "index",
@@ -139,50 +133,42 @@ func RunIndex(spec DatasetSpec, ks []int, probes, iters, batches, batchRows int,
 		CPUs:      runtime.NumCPU(),
 		Dataset:   spec.Name,
 		Records:   d.NumRecords(),
-		MIPs:      flat.NumMIPs(),
+		MIPs:      idx.NumMIPs(),
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	closureProbes := closureProbeSets(rng, flat, probes)
-	lookupProbes := lookupProbeSets(rng, flat, probes)
-	regions := regionProbes(rng, flat.Space, probes)
+	closureProbes := closureProbeSets(rng, idx, probes)
+	lookupProbes := lookupProbeSets(rng, idx, probes)
+	regions := regionProbes(rng, idx.Space, probes)
 
-	impls := map[string]string{"flat": "slab scan (support desc)", "pointer": "per-node child walk"}
-	lookupImpls := map[string]string{"flat": "open-addressed item-word hash", "pointer": "string-keyed map"}
-	for _, l := range []struct {
-		name string
-		idx  *mip.Index
-	}{{"flat", flat}, {"pointer", ptr}} {
-		rep.Closure = append(rep.Closure, timeIndexKernel(l.name, impls[l.name], iters, len(closureProbes), func() int {
-			sink := 0
-			for _, x := range closureProbes {
-				if id, ok := l.idx.ITTree.ClosureID(x); ok {
-					sink += id
-				}
+	rep.Closure = append(rep.Closure, timeIndexKernel("slab scan (support desc)", iters, len(closureProbes), func() int {
+		sink := 0
+		for _, x := range closureProbes {
+			if id, ok := idx.ITTree.ClosureID(x); ok {
+				sink += id
 			}
-			return sink
-		}))
-		rep.Lookup = append(rep.Lookup, timeIndexKernel(l.name, lookupImpls[l.name], iters, len(lookupProbes), func() int {
-			sink := 0
-			for _, x := range lookupProbes {
-				if id, ok := l.idx.ITTree.LookupID(x); ok {
-					sink += id
-				}
+		}
+		return sink
+	}))
+	rep.Lookup = append(rep.Lookup, timeIndexKernel("open-addressed item-word hash", iters, len(lookupProbes), func() int {
+		sink := 0
+		for _, x := range lookupProbes {
+			if id, ok := idx.ITTree.LookupID(x); ok {
+				sink += id
 			}
-			return sink
-		}))
-		minCount := l.idx.PrimaryCount
-		rep.RTreeProbe = append(rep.RTreeProbe, timeIndexKernel(l.name, "supported region search", iters, len(regions), func() int {
-			sink := 0
-			for _, reg := range regions {
-				l.idx.RTree.SupportedSearch(reg, minCount, func(e rtree.Entry, rel itemset.Rel) bool {
-					sink++
-					return true
-				})
-			}
-			return sink
-		}))
-	}
+		}
+		return sink
+	}))
+	rep.RTreeProbe = append(rep.RTreeProbe, timeIndexKernel("supported region search", iters, len(regions), func() int {
+		sink := 0
+		for _, reg := range regions {
+			idx.RTree.SupportedSearch(reg, idx.PrimaryCount, func(e rtree.Entry, rel itemset.Rel) bool {
+				sink++
+				return true
+			})
+		}
+		return sink
+	}))
 
 	// Consolidation cycle, the shards benchmark's aging replayed per K:
 	// build sharded engine, age it with sampled rows plus occasional
@@ -286,7 +272,7 @@ func RunIndex(spec DatasetSpec, ks []int, probes, iters, batches, batchRows int,
 }
 
 // timeIndexKernel replays fn iters times and keeps the cheapest round.
-func timeIndexKernel(layout, impl string, iters, ops int, fn func() int) IndexKernelRow {
+func timeIndexKernel(impl string, iters, ops int, fn func() int) IndexKernelRow {
 	var best time.Duration
 	sink := 0
 	for i := 0; i < iters; i++ {
@@ -299,7 +285,7 @@ func timeIndexKernel(layout, impl string, iters, ops int, fn func() int) IndexKe
 	}
 	_ = sink
 	return IndexKernelRow{
-		Layout:  layout,
+		Layout:  "flat",
 		Impl:    impl,
 		Ops:     ops,
 		TotalNs: best.Nanoseconds(),

@@ -276,7 +276,6 @@ func (e *Engine) BuildSecondary(ctx context.Context, primary float64) (Secondary
 		PrimarySupport: primary,
 		Fanout:         e.opts.Fanout,
 		Packing:        e.opts.Packing,
-		Layout:         e.opts.Layout,
 		Workers:        e.opts.Workers,
 	})
 	if err != nil {

@@ -30,12 +30,6 @@ type Options struct {
 	Fanout int
 	// Packing selects the R-tree bulk-loading scheme.
 	Packing rtree.Packing
-	// Layout selects the physical layout of the index layers
-	// (mip.FlatLayout by default: contiguous struct-of-arrays slabs;
-	// mip.PointerLayout keeps one heap object per node). Rules and
-	// statistics are identical for both; only memory layout and speed
-	// change.
-	Layout mip.Layout
 	// CalibrateUnits micro-benchmarks the cost model's unit costs on
 	// this machine instead of using defaults.
 	CalibrateUnits bool
@@ -158,7 +152,6 @@ func NewEngine(d *relation.Dataset, opts Options) (*Engine, error) {
 		PrimarySupport: opts.PrimarySupport,
 		Fanout:         opts.Fanout,
 		Packing:        opts.Packing,
-		Layout:         opts.Layout,
 		Workers:        opts.Workers,
 	})
 	if err != nil {
@@ -239,7 +232,6 @@ func (e *Engine) InitObservability(dataset string, reg *obs.Registry, accuracyTo
 					PrimarySupport: primary,
 					Fanout:         e.opts.Fanout,
 					Packing:        e.opts.Packing,
-					Layout:         e.opts.Layout,
 					Workers:        e.opts.Workers,
 				},
 			})

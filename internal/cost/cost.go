@@ -46,10 +46,9 @@ type Units struct {
 }
 
 // DefaultUnits are conservative defaults used when calibration is
-// skipped; they reflect typical modern hardware ratios for the flat
-// slab layout's primitives: packed-arena box classification and
-// open-addressed integer hashing, which are markedly cheaper than the
-// pointer layout's Box views and string-keyed maps they replaced.
+// skipped; they reflect typical modern hardware ratios for the index's
+// slab primitives: packed-arena box classification and open-addressed
+// integer hashing.
 func DefaultUnits() Units {
 	return Units{WordOp: 0.6, BoxRel: 2.0, IDProbe: 1.5, MapOp: 8, GenOp: 16}
 }
@@ -148,9 +147,7 @@ func MeasureUnits(m, dims int) Units {
 	_ = rel
 
 	// Hash probes, against an open-addressed integer table mirroring
-	// the flat IT-tree's exact-lookup hash (the layout replaced the
-	// string-keyed map the pointer index used for closure caches and
-	// dedup, so the unit tracks the cheaper primitive).
+	// the IT-tree's exact-lookup hash.
 	const tbits = 11
 	table := make([]uint64, 1<<tbits)
 	for i := uint64(1); i <= 1024; i++ {

@@ -380,7 +380,7 @@ func (s *Store) buildViewLocked() *plans.View {
 		// path is minCount < 1, guarded).
 		panic(fmt.Sprintf("delta: merged mining failed: %v", err))
 	}
-	tree := ittree.BuildLayout(res, sp.NumItems(), s.idx.Layout.ITTreeLayout())
+	tree := ittree.Build(res, sp.NumItems())
 	boxes := make([]itemset.Box, len(res.Closed))
 	closed := res.Closed
 	pool.For(len(closed), pool.Workers(s.workers), func(id int) {

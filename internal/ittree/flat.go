@@ -1,8 +1,7 @@
-// Flat struct-of-arrays layout for the IT-tree.
+// Struct-of-arrays slabs of the IT-tree.
 //
-// Instead of one heap object per CFI plus a string-keyed map, the flat
-// layout packs everything the online operations touch into five dense
-// slabs:
+// Instead of one heap object per CFI plus a string-keyed map, the tree
+// packs everything the online operations touch into five dense slabs:
 //
 //	itemArena/itemOff   all CFI itemsets concatenated, offset-indexed
 //	supports            global support per CFI id
@@ -15,10 +14,10 @@
 // containing X (two distinct containing CFIs at the shared maximum would
 // have equal tidsets — impossible for distinct closed sets), so the
 // closure scan can return the FIRST containing CFI it meets in that
-// order; the id-ascending tie-break reproduces the pointer layout's
-// "first max-support wins" result exactly. Exact lookup hashes the item
-// slice directly (FNV-1a over the item words) and verifies candidates
-// against the arena, so no per-probe string key is ever allocated.
+// order; the id-ascending tie-break makes the scan deterministic. Exact
+// lookup hashes the item slice directly (FNV-1a over the item words) and
+// verifies candidates against the arena, so no per-probe string key is
+// ever allocated.
 package ittree
 
 import (
@@ -112,9 +111,10 @@ func hashItems(x itemset.Set) uint64 {
 	return h
 }
 
-// probeFlat finds the id of the CFI whose itemset is exactly x via the
-// open-addressed table.
-func (t *Tree) probeFlat(x itemset.Set) (int, bool) {
+// LookupID finds the id of the CFI whose itemset is exactly x by probing
+// the open-addressed hash table with collision verification against the
+// item arena — no string key is built.
+func (t *Tree) LookupID(x itemset.Set) (int, bool) {
 	if len(t.htab) == 0 || len(x) == 0 {
 		return 0, false
 	}
@@ -143,30 +143,51 @@ func equalItems(a, b itemset.Set) bool {
 	return true
 }
 
-// closureFlat resolves the closure of a non-empty x on the slabs: exact
-// probe first, then a single early-exit pass over the shortest inverted
-// list of x's items.
-func (t *Tree) closureFlat(x itemset.Set) (int, bool) {
-	if id, ok := t.probeFlat(x); ok {
+// ClosureID is Closure returning the CFI's id instead of the set; plans
+// key their per-query local-support caches on the id. It tries the exact
+// probe first, then makes a single early-exit pass over the shortest
+// inverted list of x's items.
+func (t *Tree) ClosureID(x itemset.Set) (int, bool) {
+	if id, ok := t.LookupID(x); ok {
 		return id, true
 	}
-	shortest := itemset.Item(-1)
-	shortLen := int32(0)
-	for _, it := range x {
-		l := t.invOff[it+1] - t.invOff[it]
-		if l == 0 {
-			return 0, false
-		}
-		if shortest < 0 || l < shortLen {
-			shortest, shortLen = it, l
-		}
-	}
-	for _, id := range t.invArena[t.invOff[shortest]:t.invOff[shortest+1]] {
+	for _, id := range t.shortestRun(x) {
 		if t.containsAll(int(id), x) {
 			return int(id), true
 		}
 	}
 	return 0, false
+}
+
+// ContainingIDs returns the ids of CFIs containing every item of x, in
+// ascending id order: the shortest inverted list filtered by full
+// containment, re-sorted by id (inverted runs are support-ordered).
+// Used by diagnostics and tests.
+func (t *Tree) ContainingIDs(x itemset.Set) []int32 {
+	var out []int32
+	for _, id := range t.shortestRun(x) {
+		if t.containsAll(int(id), x) {
+			out = append(out, id)
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	return out
+}
+
+// shortestRun returns the shortest inverted list among x's items, or nil
+// when x is empty or some item of x occurs in no CFI.
+func (t *Tree) shortestRun(x itemset.Set) []int32 {
+	var run []int32
+	for i, it := range x {
+		r := t.invArena[t.invOff[it]:t.invOff[it+1]]
+		if len(r) == 0 {
+			return nil
+		}
+		if i == 0 || len(r) < len(run) {
+			run = r
+		}
+	}
+	return run
 }
 
 // containsAll reports whether CFI id's itemset contains every item of x.
@@ -184,29 +205,4 @@ func (t *Tree) containsAll(id int, x itemset.Set) bool {
 		i++
 	}
 	return true
-}
-
-// containingFlat computes ContainingIDs on the slabs: filter the
-// shortest inverted list by full containment, then restore ascending id
-// order (inverted runs are support-ordered).
-func (t *Tree) containingFlat(x itemset.Set) []int32 {
-	shortest := itemset.Item(-1)
-	shortLen := int32(0)
-	for _, it := range x {
-		l := t.invOff[it+1] - t.invOff[it]
-		if l == 0 {
-			return nil
-		}
-		if shortest < 0 || l < shortLen {
-			shortest, shortLen = it, l
-		}
-	}
-	var out []int32
-	for _, id := range t.invArena[t.invOff[shortest]:t.invOff[shortest+1]] {
-		if t.containsAll(int(id), x) {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }

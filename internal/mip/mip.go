@@ -27,44 +27,6 @@ import (
 	"colarm/internal/rtree"
 )
 
-// Layout selects the physical layout of both index layers: FlatLayout
-// (the default) packs the IT-tree and R-tree into contiguous
-// struct-of-arrays slabs; PointerLayout keeps the original
-// one-heap-object-per-node organization as the differential reference.
-type Layout int
-
-const (
-	FlatLayout Layout = iota
-	PointerLayout
-)
-
-func (l Layout) String() string {
-	switch l {
-	case FlatLayout:
-		return "flat"
-	case PointerLayout:
-		return "pointer"
-	default:
-		return fmt.Sprintf("Layout(%d)", int(l))
-	}
-}
-
-// ITTreeLayout maps the index-level layout to the IT-tree layer's.
-func (l Layout) ITTreeLayout() ittree.Layout {
-	if l == PointerLayout {
-		return ittree.PointerLayout
-	}
-	return ittree.FlatLayout
-}
-
-// RTreeLayout maps the index-level layout to the R-tree layer's.
-func (l Layout) RTreeLayout() rtree.Layout {
-	if l == PointerLayout {
-		return rtree.PointerLayout
-	}
-	return rtree.FlatLayout
-}
-
 // Options configures the offline preprocessing phase.
 type Options struct {
 	// PrimarySupport is the primary support threshold (fraction of the
@@ -75,8 +37,6 @@ type Options struct {
 	Fanout int
 	// Packing selects the bulk-loading scheme for the R-tree.
 	Packing rtree.Packing
-	// Layout selects the physical layout of the index layers.
-	Layout Layout
 	// Workers bounds the fan-out of the per-CFI bounding-box computation
 	// during assembly: 0 means one worker per CPU, 1 forces serial. Box
 	// probes are independent reads over immutable tidsets and land in
@@ -101,8 +61,6 @@ type Index struct {
 	PrimaryCount int
 	// Cards caches per-attribute cardinalities (R-tree axis sizes).
 	Cards []int
-	// Layout records the physical layout the index was assembled with.
-	Layout Layout
 	// Live, when non-nil, flags the records of Dataset that exist: a
 	// consolidated sharded engine absorbs deletions without renumbering
 	// record ids (hash partitioning must stay stable), so deleted rows
@@ -155,9 +113,8 @@ func assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res
 		Dataset:      d,
 		Space:        sp,
 		Tidsets:      tidsets,
-		ITTree:       ittree.BuildLayout(res, sp.NumItems(), opts.Layout.ITTreeLayout()),
+		ITTree:       ittree.Build(res, sp.NumItems()),
 		PrimaryCount: primaryCount,
-		Layout:       opts.Layout,
 	}
 	idx.Cards = make([]int, sp.NumAttrs())
 	for a := range idx.Cards {
@@ -173,7 +130,7 @@ func assemble(d *relation.Dataset, sp *itemset.Space, tidsets []*bitset.Set, res
 		idx.Boxes[id] = idx.boundingBox(c)
 		entries[id] = rtree.Entry{Box: idx.Boxes[id], ID: int32(id), Support: int32(c.Support)}
 	})
-	rt, err := rtree.BulkLayout(entries, sp.NumAttrs(), opts.Fanout, opts.Packing, idx.Cards, opts.Layout.RTreeLayout())
+	rt, err := rtree.Bulk(entries, sp.NumAttrs(), opts.Fanout, opts.Packing, idx.Cards)
 	if err != nil {
 		return nil, err
 	}

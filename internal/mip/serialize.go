@@ -434,9 +434,8 @@ func assembleFromBoxes(d *relation.Dataset, sp *itemset.Space, res *charm.Result
 		Tidsets:      itemset.ItemTidsets(d, sp),
 		PrimaryCount: primaryCount,
 		Boxes:        boxes,
-		Layout:       opts.Layout,
+		ITTree:       ittree.Build(res, sp.NumItems()),
 	}
-	idx.ITTree = ittree.BuildLayout(res, sp.NumItems(), opts.Layout.ITTreeLayout())
 	idx.Cards = make([]int, sp.NumAttrs())
 	for a := range idx.Cards {
 		idx.Cards[a] = sp.Cardinality(a)
@@ -445,7 +444,7 @@ func assembleFromBoxes(d *relation.Dataset, sp *itemset.Space, res *charm.Result
 	for id, c := range res.Closed {
 		entries[id] = rtree.Entry{Box: boxes[id], ID: int32(id), Support: int32(c.Support)}
 	}
-	rt, err := rtree.BulkLayout(entries, sp.NumAttrs(), opts.Fanout, opts.Packing, idx.Cards, opts.Layout.RTreeLayout())
+	rt, err := rtree.Bulk(entries, sp.NumAttrs(), opts.Fanout, opts.Packing, idx.Cards)
 	if err != nil {
 		return nil, err
 	}

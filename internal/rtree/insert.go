@@ -6,9 +6,12 @@ import (
 	"colarm/internal/itemset"
 )
 
-// Insert adds an entry to a dynamic tree (Guttman's algorithm with the
-// tree's configured split). Packed trees accept inserts too; they simply
-// lose their perfect utilization.
+// Insert adds an entry to the tree (Guttman's algorithm with the tree's
+// configured split). It appends the entry to its chosen leaf's run
+// (relocating the run to the arena end when it is not already there),
+// grows boxes and max-support aggregates along the path, and splits
+// overfull nodes by appending fresh nodes and runs. Packed trees accept
+// inserts too; they simply lose their perfect utilization.
 func (t *Tree) Insert(e Entry) error {
 	if e.Box.Dims() != t.dims {
 		return fmt.Errorf("rtree: entry has %d dims, tree has %d", e.Box.Dims(), t.dims)
@@ -16,158 +19,204 @@ func (t *Tree) Insert(e Entry) error {
 	if e.Box.IsEmpty() {
 		return fmt.Errorf("rtree: refusing to insert empty box")
 	}
-	if t.flat {
-		t.insertFlat(e)
-		return nil
-	}
-	l := t.chooseLeaf(t.root, e, nil)
-	leaf := l.path[len(l.path)-1]
-	leaf.entries = append(leaf.entries, e)
+	path := t.chooseLeaf(t.root, e.Box, nil)
+	leaf := path[len(path)-1]
+	t.appendToLeafRun(leaf, e)
 	t.size++
-	t.adjustUp(l.path, e.Box, e.Support)
-	if len(leaf.entries) > t.fanout {
-		t.splitUp(l.path)
+	for _, ni := range path {
+		b := t.nodeBox(ni)
+		if b.IsEmpty() {
+			copy(b.Lo, e.Box.Lo)
+			copy(b.Hi, e.Box.Hi)
+		} else {
+			b.ExtendBox(e.Box)
+		}
+		if e.Support > t.nodes[ni].maxSupport {
+			t.nodes[ni].maxSupport = e.Support
+		}
+	}
+	if t.nodes[leaf].count > int32(t.fanout) {
+		t.splitUp(path)
 	}
 	return nil
 }
 
-type leafPath struct {
-	path []*node
-}
-
-// chooseLeaf descends from n picking, at each level, the child whose box
-// needs the least enlargement to include e (ties by smaller area, then
-// first).
-func (t *Tree) chooseLeaf(n *node, e Entry, path []*node) *leafPath {
-	path = append(path, n)
-	if n.leaf {
-		return &leafPath{path: path}
+// chooseLeaf descends from ni picking, at each level, the child whose
+// box needs the least enlargement to include b (ties by smaller area,
+// then first), and returns the root-to-leaf path.
+func (t *Tree) chooseLeaf(ni int32, b itemset.Box, path []int32) []int32 {
+	path = append(path, ni)
+	if t.nodes[ni].leaf {
+		return path
 	}
-	best := -1
+	best := int32(-1)
 	var bestEnl, bestArea float64
-	for i, c := range n.children {
-		enl := enlargement(c.box, e.Box)
-		area := boxArea(c.box)
+	for _, c := range t.kids(ni) {
+		cb := t.nodeBox(c)
+		enl := enlargement(cb, b)
+		area := boxArea(cb)
 		if best < 0 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = i, enl, area
+			best, bestEnl, bestArea = c, enl, area
 		}
 	}
-	return t.chooseLeaf(n.children[best], e, path)
+	return t.chooseLeaf(best, b, path)
 }
 
-// adjustUp grows boxes and max-support aggregates along the insert path.
-func (t *Tree) adjustUp(path []*node, b itemset.Box, support int32) {
-	for _, n := range path {
-		if n.box.IsEmpty() {
-			n.box = b.Clone()
-		} else {
-			n.box.ExtendBox(b)
+// appendToLeafRun adds e to leaf ni's entry run, relocating the run to
+// the end of the entry arenas unless it is already the tail.
+func (t *Tree) appendToLeafRun(ni int32, e Entry) {
+	nd := &t.nodes[ni]
+	if int(nd.off+nd.count) != len(t.entIDs) {
+		newOff := int32(len(t.entIDs))
+		for s := nd.off; s < nd.off+nd.count; s++ {
+			t.appendEntrySlot(t.entryAt(s))
 		}
-		if support > n.maxSupport {
-			n.maxSupport = support
+		nd.off = newOff
+	}
+	t.appendEntrySlot(e)
+	t.nodes[ni].count++
+}
+
+// replaceKid rewrites parent's child run substituting oldKid with a and
+// appending b, relocating the run to the arena end unless it is the
+// tail.
+func (t *Tree) replaceKid(parent, oldKid, a, b int32) {
+	nd := &t.nodes[parent]
+	if int(nd.off+nd.count) != len(t.kidArena) {
+		newOff := int32(len(t.kidArena))
+		t.kidArena = append(t.kidArena, t.kidArena[nd.off:nd.off+nd.count]...)
+		nd.off = newOff
+	}
+	run := t.kidArena[nd.off : nd.off+nd.count]
+	for j, c := range run {
+		if c == oldKid {
+			run[j] = a
+			break
+		}
+	}
+	t.kidArena = append(t.kidArena, b)
+	t.nodes[parent].count++
+}
+
+// refresh recomputes node ni's box and max-support from its members.
+func (t *Tree) refresh(ni int32) {
+	nd := &t.nodes[ni]
+	b := t.nodeBox(ni)
+	for d := 0; d < t.dims; d++ {
+		b.Lo[d] = 1 << 30
+		b.Hi[d] = -1
+	}
+	nd.maxSupport = 0
+	if nd.leaf {
+		for s := nd.off; s < nd.off+nd.count; s++ {
+			b.ExtendBox(t.entryBox(s))
+			if t.entSups[s] > nd.maxSupport {
+				nd.maxSupport = t.entSups[s]
+			}
+		}
+		return
+	}
+	for _, c := range t.kids(ni) {
+		b.ExtendBox(t.nodeBox(c))
+		if t.nodes[c].maxSupport > nd.maxSupport {
+			nd.maxSupport = t.nodes[c].maxSupport
 		}
 	}
 }
 
 // splitUp splits the overfull node at the end of path and propagates
 // splits (and possibly a new root) upward.
-func (t *Tree) splitUp(path []*node) {
+func (t *Tree) splitUp(path []int32) {
 	for i := len(path) - 1; i >= 0; i-- {
-		n := path[i]
-		over := (n.leaf && len(n.entries) > t.fanout) || (!n.leaf && len(n.children) > t.fanout)
-		if !over {
-			refresh(n)
+		ni := path[i]
+		nd := &t.nodes[ni]
+		if nd.count <= int32(t.fanout) {
+			t.refresh(ni)
 			continue
 		}
-		a, b := t.splitNode(n)
+		a, b := t.splitNode(ni)
 		if i == 0 {
-			// Grow a new root.
-			t.root = &node{children: []*node{a, b}, box: itemset.NewBox(t.dims)}
-			refresh(t.root)
+			off := int32(len(t.kidArena))
+			t.kidArena = append(t.kidArena, a, b)
+			root := t.appendNode(false)
+			rd := &t.nodes[root]
+			rd.off, rd.count = off, 2
+			t.refresh(root)
+			t.root = root
 			return
 		}
-		parent := path[i-1]
-		// Replace n with a, add b.
-		for j, c := range parent.children {
-			if c == n {
-				parent.children[j] = a
-				break
-			}
-		}
-		parent.children = append(parent.children, b)
+		t.replaceKid(path[i-1], ni, a, b)
 	}
 }
 
-// refresh recomputes a node's box and max-support from its members.
-func refresh(n *node) {
-	n.box = itemset.NewBox(dimsOf(n))
-	n.maxSupport = 0
-	if n.leaf {
-		for _, e := range n.entries {
-			n.box.ExtendBox(e.Box)
-			if e.Support > n.maxSupport {
-				n.maxSupport = e.Support
-			}
-		}
-		return
-	}
-	for _, c := range n.children {
-		n.box.ExtendBox(c.box)
-		if c.maxSupport > n.maxSupport {
-			n.maxSupport = c.maxSupport
-		}
-	}
-}
-
-func dimsOf(n *node) int {
-	if n.box.Dims() > 0 {
-		return n.box.Dims()
-	}
-	if n.leaf && len(n.entries) > 0 {
-		return n.entries[0].Box.Dims()
-	}
-	if !n.leaf && len(n.children) > 0 {
-		return dimsOf(n.children[0])
-	}
-	return 0
-}
-
-// member abstracts leaf entries and interior children so one split
-// implementation serves both layouts: child carries a pointer-layout
-// node, childIdx a flat-layout slab index.
-type member struct {
-	box      itemset.Box
-	entry    Entry
-	child    *node
-	childIdx int32
-	isChild  bool
-}
-
-func (t *Tree) members(n *node) []member {
-	if n.leaf {
-		ms := make([]member, len(n.entries))
-		for i, e := range n.entries {
-			ms[i] = member{box: e.Box, entry: e}
+// members snapshots node ni's members for a split. Boxes are cloned:
+// the split appends to the box/entry arenas, which may reallocate them
+// under any live views.
+func (t *Tree) members(ni int32) []member {
+	nd := &t.nodes[ni]
+	ms := make([]member, 0, nd.count)
+	if nd.leaf {
+		for s := nd.off; s < nd.off+nd.count; s++ {
+			e := t.entryAt(s)
+			e.Box = e.Box.Clone()
+			ms = append(ms, member{box: e.Box, entry: e})
 		}
 		return ms
 	}
-	ms := make([]member, len(n.children))
-	for i, c := range n.children {
-		ms[i] = member{box: c.box, child: c, isChild: true}
+	for _, c := range t.kids(ni) {
+		ms = append(ms, member{box: t.nodeBox(c).Clone(), childIdx: c})
 	}
 	return ms
 }
 
-// splitNode divides an overfull node into two using the configured
-// algorithm and returns the two halves (the first reuses n's identity
-// semantics but is a fresh node).
-func (t *Tree) splitNode(n *node) (*node, *node) {
-	ga, gb := t.partitionMembers(t.members(n))
-	return ga.toNode(n.leaf), gb.toNode(n.leaf)
+// splitNode divides overfull node ni into two fresh slab nodes and
+// returns their indices. Node ni's storage becomes garbage.
+func (t *Tree) splitNode(ni int32) (int32, int32) {
+	leaf := t.nodes[ni].leaf
+	ga, gb := t.partitionMembers(t.members(ni))
+	return t.materializeGroup(ga, leaf), t.materializeGroup(gb, leaf)
+}
+
+// materializeGroup appends a fresh node holding the group's members.
+func (t *Tree) materializeGroup(g *group, leaf bool) int32 {
+	ni := t.appendNode(leaf)
+	nd := &t.nodes[ni]
+	if leaf {
+		nd.off = int32(len(t.entIDs))
+		for _, m := range g.members {
+			t.appendEntrySlot(m.entry)
+			if m.entry.Support > t.nodes[ni].maxSupport {
+				t.nodes[ni].maxSupport = m.entry.Support
+			}
+		}
+	} else {
+		nd.off = int32(len(t.kidArena))
+		for _, m := range g.members {
+			t.kidArena = append(t.kidArena, m.childIdx)
+			if t.nodes[m.childIdx].maxSupport > t.nodes[ni].maxSupport {
+				t.nodes[ni].maxSupport = t.nodes[m.childIdx].maxSupport
+			}
+		}
+	}
+	nd = &t.nodes[ni]
+	nd.count = int32(len(g.members))
+	b := t.nodeBox(ni)
+	copy(b.Lo, g.box.Lo)
+	copy(b.Hi, g.box.Hi)
+	return ni
+}
+
+// member abstracts leaf entries and interior children so one split
+// implementation serves both node kinds: childIdx is the child's slab
+// index.
+type member struct {
+	box      itemset.Box
+	entry    Entry
+	childIdx int32
 }
 
 // partitionMembers runs Guttman's seed selection and distribution over
-// the members of an overfull node; shared by both layouts.
+// the members of an overfull node.
 func (t *Tree) partitionMembers(ms []member) (*group, *group) {
 	var seedA, seedB int
 	if t.split == LinearSplit {
@@ -240,24 +289,6 @@ type group struct {
 func (g *group) add(m member) {
 	g.box.ExtendBox(m.box)
 	g.members = append(g.members, m)
-}
-
-func (g *group) toNode(leaf bool) *node {
-	n := &node{leaf: leaf, box: g.box}
-	for _, m := range g.members {
-		if m.isChild {
-			n.children = append(n.children, m.child)
-			if m.child.maxSupport > n.maxSupport {
-				n.maxSupport = m.child.maxSupport
-			}
-		} else {
-			n.entries = append(n.entries, m.entry)
-			if m.entry.Support > n.maxSupport {
-				n.maxSupport = m.entry.Support
-			}
-		}
-	}
-	return n
 }
 
 // quadraticSeeds picks the pair wasting the most area if grouped

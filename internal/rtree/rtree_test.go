@@ -364,30 +364,37 @@ func TestQuickSearchEqualsLinear(t *testing.T) {
 		es := randomEntries(r, n, dims, cards)
 		fanout := 2 + r.Intn(10)
 
+		insertAll := func(tr *Tree, es []Entry) error {
+			for _, e := range es {
+				if err := tr.Insert(e); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		splits := []SplitAlgorithm{QuadraticSplit, LinearSplit}
 		var tr *Tree
 		var err error
-		switch r.Intn(4) {
+		switch c := r.Intn(6); c {
 		case 0:
 			tr, err = Bulk(append([]Entry(nil), es...), dims, fanout, STRPacking, cards)
 		case 1:
 			tr, err = Bulk(append([]Entry(nil), es...), dims, fanout, MortonPacking, cards)
-		case 2:
-			tr, err = New(dims, fanout, QuadraticSplit)
+		case 2, 3:
+			tr, err = New(dims, fanout, splits[c-2])
 			if err == nil {
-				for _, e := range es {
-					if err = tr.Insert(e); err != nil {
-						break
-					}
-				}
+				err = insertAll(tr, es)
 			}
 		default:
-			tr, err = New(dims, fanout, LinearSplit)
+			// Packed trees accept inserts: bulk-pack half the entries,
+			// then grow the slab with Guttman insertion under either
+			// split algorithm.
+			half := n / 2
+			packing := []Packing{STRPacking, MortonPacking}[r.Intn(2)]
+			tr, err = Bulk(append([]Entry(nil), es[:half]...), dims, fanout, packing, cards)
 			if err == nil {
-				for _, e := range es {
-					if err = tr.Insert(e); err != nil {
-						break
-					}
-				}
+				tr.split = splits[c-4]
+				err = insertAll(tr, es[half:])
 			}
 		}
 		if err != nil {

@@ -14,6 +14,7 @@ import (
 // on message text.
 const (
 	CodeBadRequest          = "bad_request"
+	CodePayloadTooLarge     = "payload_too_large"
 	CodeUnknownAttribute    = "unknown_attribute"
 	CodeUnknownValue        = "unknown_value"
 	CodeBadThreshold        = "bad_threshold"
@@ -78,15 +79,19 @@ func (e conflictError) errorDetails() map[string]any {
 // classify maps an error to its HTTP status and machine-readable code.
 // The facade's typed validation errors (and explicitly tagged parse
 // failures) are the caller's fault — 400, with the sentinel's specific
-// code when one is in the chain; an unknown dataset or subscription is
-// 404; an ingest racing a rebuild is 409; admission or subscription
+// code when one is in the chain; a body over its route's size limit is
+// 413; an unknown dataset or subscription is 404; an ingest racing a
+// rebuild is 409; admission or subscription
 // overflow is 429; a query that outran its deadline is 504; everything
 // else is an engine fault — 500/internal.
 func classify(err error) (status int, code string) {
 	var bad badRequestError
 	var missing notFoundError
 	var conflict conflictError
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, CodePayloadTooLarge
 	case errors.Is(err, colarm.ErrUnknownAttribute):
 		return http.StatusBadRequest, CodeUnknownAttribute
 	case errors.Is(err, colarm.ErrUnknownValue):

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"colarm"
@@ -58,6 +59,18 @@ func TestErrorEnvelopeByRoute(t *testing.T) {
 		{"mine malformed body", "POST", "/v1/mine",
 			map[string]any{"bogus": 1},
 			http.StatusBadRequest, CodeBadRequest},
+		{"mine oversized body", "POST", "/v1/mine",
+			goodQuery(map[string]any{"ql": strings.Repeat(" ", maxQueryBody)}),
+			http.StatusRequestEntityTooLarge, CodePayloadTooLarge},
+		{"explain oversized body", "POST", "/v1/explain",
+			goodQuery(map[string]any{"ql": strings.Repeat(" ", maxQueryBody)}),
+			http.StatusRequestEntityTooLarge, CodePayloadTooLarge},
+		{"ingest oversized body", "POST", "/v1/ingest",
+			map[string]any{"dataset": strings.Repeat("x", maxIngestBody)},
+			http.StatusRequestEntityTooLarge, CodePayloadTooLarge},
+		{"subscribe oversized body", "POST", "/v1/subscriptions",
+			goodQuery(map[string]any{"ql": strings.Repeat(" ", maxQueryBody)}),
+			http.StatusRequestEntityTooLarge, CodePayloadTooLarge},
 		{"explain unknown value", "POST", "/v1/explain",
 			goodQuery(map[string]any{"range": map[string][]string{"Gender": {"X"}}}),
 			http.StatusBadRequest, CodeUnknownValue},
@@ -172,6 +185,7 @@ func TestClassify(t *testing.T) {
 		{context.Canceled, 499, CodeClientClosedRequest},
 		{fmt.Errorf("wrapped: %w", colarm.ErrBadRecordID), http.StatusBadRequest, CodeBadRecordID},
 		{badRequestError{errors.New("x")}, http.StatusBadRequest, CodeBadRequest},
+		{badRequestError{fmt.Errorf("reading body: %w", &http.MaxBytesError{Limit: 1})}, http.StatusRequestEntityTooLarge, CodePayloadTooLarge},
 		{fmt.Errorf("%w %q", standing.ErrNoDataset, "d"), http.StatusNotFound, CodeNotFound},
 		{errors.New("boom"), http.StatusInternalServerError, CodeInternal},
 	}
@@ -192,5 +206,38 @@ func TestClassify(t *testing.T) {
 	}
 	if er.Error.Details["dataset"] != "salary" {
 		t.Fatalf("conflict details = %v, want dataset=salary", er.Error.Details)
+	}
+}
+
+// TestOversizedBodyIsRefused posts bodies whose first bytes form a
+// valid request but whose total length passes the route's limit: a
+// truncating reader would answer the valid prefix, so the server must
+// refuse the whole body with 413 payload_too_large instead.
+func TestOversizedBodyIsRefused(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	h := s.Handler()
+	pad := func(prefix string, limit int) string {
+		return prefix + strings.Repeat(" ", limit) + "junk"
+	}
+	cases := []struct {
+		name, path, body string
+	}{
+		{"raw QL mine", "/v1/mine", pad(`REPORT LOCALIZED ASSOCIATION RULES FROM salary
+			WHERE RANGE Location = (Seattle)
+			HAVING minsupport = 30% AND minconfidence = 50%;`, maxQueryBody)},
+		{"ingest batch", "/v1/ingest", pad(`{"dataset": "salary", "inserts": []}`, maxIngestBody)},
+	}
+	for _, tc := range cases {
+		req := httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413 (body %.200s)", tc.name, w.Code, w.Body.String())
+			continue
+		}
+		var er errorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Error.Code != CodePayloadTooLarge {
+			t.Errorf("%s: error.code %q, want %q", tc.name, er.Error.Code, CodePayloadTooLarge)
+		}
 	}
 }

@@ -333,13 +333,31 @@ type explainResponse struct {
 	Estimates  []estimateJSON `json:"estimates"`
 }
 
+// Request body limits. A mine, explain or subscribe body holds one
+// query; an ingest body holds a batch of rows.
+const (
+	maxQueryBody  = 1 << 20
+	maxIngestBody = 8 << 20
+)
+
+// readBody reads the whole request body. A body longer than limit is
+// refused with an *http.MaxBytesError in the chain (413
+// payload_too_large) rather than silently truncated.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		return nil, fmt.Errorf("reading body: %w", err)
+	}
+	return body, nil
+}
+
 // parseRequest decodes the request body into the engine-independent
 // parts of a mine request: JSON bodies directly, raw COLARM-QL bodies
 // (text/plain, or any body not starting with '{') into the QL field.
-func parseRequest(r *http.Request) (*mineRequest, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+func parseRequest(w http.ResponseWriter, r *http.Request) (*mineRequest, error) {
+	body, err := readBody(w, r, maxQueryBody)
 	if err != nil {
-		return nil, fmt.Errorf("reading body: %w", err)
+		return nil, err
 	}
 	trimmed := strings.TrimSpace(string(body))
 	if trimmed == "" {
@@ -426,7 +444,7 @@ func (s *Server) requestContext(ctx context.Context, req *mineRequest) (context.
 
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	s.requests["mine"].Inc()
-	req, err := parseRequest(r)
+	req, err := parseRequest(w, r)
 	if err != nil {
 		s.fail(w, "mine", badRequestError{err})
 		return
@@ -499,7 +517,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.requests["explain"].Inc()
-	req, err := parseRequest(r)
+	req, err := parseRequest(w, r)
 	if err != nil {
 		s.fail(w, "explain", badRequestError{err})
 		return
@@ -666,9 +684,9 @@ func toStalenessJSON(st colarm.Staleness) stalenessJSON {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.requests["ingest"].Inc()
 	var req ingestRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
+	body, err := readBody(w, r, maxIngestBody)
 	if err != nil {
-		s.fail(w, "ingest", badRequestError{fmt.Errorf("reading body: %w", err)})
+		s.fail(w, "ingest", badRequestError{err})
 		return
 	}
 	dec := json.NewDecoder(strings.NewReader(string(body)))

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -68,9 +67,9 @@ func (s *Server) subscriptionJSON(sub *standing.Subscription) subscriptionJSON {
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	s.requests["subscriptions"].Inc()
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := readBody(w, r, maxQueryBody)
 	if err != nil {
-		s.fail(w, "subscriptions", badRequestError{fmt.Errorf("reading body: %w", err)})
+		s.fail(w, "subscriptions", badRequestError{err})
 		return
 	}
 	var req subscribeRequest

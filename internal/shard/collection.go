@@ -40,7 +40,7 @@ type Config struct {
 	// Units are the engine's calibrated cost units (delta refresh policy).
 	Units cost.Units
 	// MIP carries the index build options used at consolidation and for
-	// the per-shard physical indexes (layout, fanout, packing).
+	// the per-shard physical indexes (fanout, packing).
 	MIP mip.Options
 	// Workers bounds the fan-out of the collection's parallel sections —
 	// partition restriction, per-shard mining + indexing, global box
@@ -220,7 +220,7 @@ func (c *Collection) View() *plans.View {
 			minCount = 1
 		}
 		res := c.mergedCatalogLocked(v.Slices, sv.Tidsets, sv.NumRecords, minCount)
-		v.Tree = ittree.BuildLayout(res, c.idx.Space.NumItems(), c.mipOpts.Layout.ITTreeLayout())
+		v.Tree = ittree.Build(res, c.idx.Space.NumItems())
 		v.Boxes = make([]itemset.Box, len(res.Closed))
 		closed := res.Closed
 		// Merged boxes are independent reads into pre-indexed slots.
@@ -274,7 +274,7 @@ func (c *Collection) mergedCatalogLocked(slices []plans.ShardSlice, tidsets []*b
 			return
 		}
 		si := buildShardIndex(s, c.versions[s], ukey, slices[s], inU, capN,
-			c.idx.Space, c.idx.Cards, c.mipOpts.Fanout, c.mipOpts.Packing, c.mipOpts.Layout)
+			c.idx.Space, c.idx.Cards, c.mipOpts.Fanout, c.mipOpts.Packing)
 		rebuilt[s] = si
 		per[s] = si.Mine
 	})

@@ -16,12 +16,11 @@ import (
 // ShardIndex is one shard's physical MIP-index: the shard's threshold-1
 // closed-set catalog (the input to the cross-shard closure merge) plus
 // the two physical layers built over it — a closed IT-tree and a
-// supported R-tree over the shard-local bounding boxes, both in the
-// engine's configured layout. Caching the physical layers alongside the
-// mining, keyed by the shard's version clock and the frequent-item
-// universe, is what lets consolidation re-mine AND re-index only the
-// drifted shards while clean shards keep serving their cached index
-// unchanged.
+// supported R-tree over the shard-local bounding boxes. Caching the
+// physical layers alongside the mining, keyed by the shard's version
+// clock and the frequent-item universe, is what lets consolidation
+// re-mine AND re-index only the drifted shards while clean shards keep
+// serving their cached index unchanged.
 //
 // A ShardIndex is immutable once published.
 type ShardIndex struct {
@@ -54,7 +53,7 @@ type ShardIndex struct {
 // packs the physical layers. sl.Items carries the shard-restricted
 // per-item tidsets; items outside the universe (inU false) are masked
 // off so the threshold-1 enumeration stays bounded by 2^U.
-func buildShardIndex(shard int, version uint64, ukey string, sl plans.ShardSlice, inU []bool, capN int, sp *itemset.Space, cards []int, fanout int, packing rtree.Packing, layout mip.Layout) *ShardIndex {
+func buildShardIndex(shard int, version uint64, ukey string, sl plans.ShardSlice, inU []bool, capN int, sp *itemset.Space, cards []int, fanout int, packing rtree.Packing) *ShardIndex {
 	start := time.Now()
 	tids := make([]*bitset.Set, len(sl.Items))
 	for i, t := range sl.Items {
@@ -73,7 +72,7 @@ func buildShardIndex(shard int, version uint64, ukey string, sl plans.ShardSlice
 		UKey:    ukey,
 		Slice:   sl,
 		Mine:    res,
-		Tree:    ittree.BuildLayout(res, sp.NumItems(), layout.ITTreeLayout()),
+		Tree:    ittree.Build(res, sp.NumItems()),
 		Boxes:   make([]itemset.Box, len(res.Closed)),
 	}
 	entries := make([]rtree.Entry, len(res.Closed))
@@ -81,7 +80,7 @@ func buildShardIndex(shard int, version uint64, ukey string, sl plans.ShardSlice
 		si.Boxes[id] = mip.BoundingBox(sp, cards, sl.Items, c)
 		entries[id] = rtree.Entry{Box: si.Boxes[id], ID: int32(id), Support: int32(c.Support)}
 	}
-	rt, err := rtree.BulkLayout(entries, sp.NumAttrs(), fanout, packing, cards, layout.RTreeLayout())
+	rt, err := rtree.Bulk(entries, sp.NumAttrs(), fanout, packing, cards)
 	if err != nil {
 		// Unreachable: entries are well-formed by construction (every
 		// CFI has support >= 1, so no empty boxes).
